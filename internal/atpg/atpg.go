@@ -2,6 +2,8 @@ package atpg
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"gpustl/internal/circuits"
 	"gpustl/internal/fault"
@@ -54,7 +56,13 @@ type Result struct {
 	RandomDet    int // detected in the random phase
 	PodemDet     int // detected by PODEM-generated patterns
 	Untestable   int // PODEM proved/abandoned without a pattern
+	Aborted      int // of Untestable, PODEM runs that exhausted MaxBacktracks
 	RandPatterns int // patterns kept from the random phase
+
+	// Discarded counts PODEM runs made ahead of the commit point and
+	// thrown away because an earlier kept pattern already detected their
+	// target. It depends on GOMAXPROCS; nothing else does.
+	Discarded int
 }
 
 // Coverage returns the achieved fault coverage over the targeted list.
@@ -134,17 +142,82 @@ func Generate(m *circuits.Module, opt Options) *Result {
 
 	// Deterministic phase.
 	if opt.UsePodem {
-		for id, f := range camp.Faults() {
-			if camp.IsDetected(fault.ID(id)) {
-				continue
+		podemPhase(m.NL, camp, opt.MaxBacktracks, res)
+	}
+	return res
+}
+
+// podemPhase targets every fault the random phase left undetected, in
+// fault order, fault-simulating each PODEM pattern to drop collateral
+// detections.
+//
+// PODEM for one fault depends only on the netlist and the fault, so
+// GOMAXPROCS workers run pending targets ahead of the commit point while
+// results are committed strictly in fault order. A target an earlier
+// commit already detects is discarded unseen — exactly the target serial
+// generation would have skipped — so the kept patterns and counts match
+// serial generation at any worker count. Run times are heavy-tailed (a
+// budget-exhausting target costs ~50× a median one), so workers may run
+// up to lookahead targets past the commit point instead of waiting on
+// the slowest run of a fixed batch.
+func podemPhase(nl *netlist.Netlist, camp *fault.Campaign, maxBacktracks int, res *Result) {
+	type target struct {
+		id      fault.ID
+		site    netlist.FaultSite
+		pat     circuits.Pattern
+		found   bool
+		aborted bool
+		done    chan struct{}
+	}
+	workers := runtime.GOMAXPROCS(0)
+	lookahead := 4 * workers
+	if workers == 1 {
+		lookahead = 1 // nothing runs concurrently; speculation only wastes work
+	}
+	// At most lookahead targets are pending, so dispatch never blocks.
+	jobs := make(chan *target, lookahead)
+	var wg sync.WaitGroup
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pd := newPodem(nl, maxBacktracks)
+			for t := range jobs {
+				t.pat, t.found = pd.run(t.site)
+				t.aborted = pd.aborted
+				close(t.done)
 			}
-			pd := newPodem(m.NL, f.Site, opt.MaxBacktracks)
-			pat, ok := pd.run()
-			if !ok {
-				res.Untestable++
-				continue
+		}()
+	}
+	defer wg.Wait()
+	defer close(jobs)
+
+	faults := camp.Faults()
+	var pending []*target // dispatched, not yet committed, in fault order
+	for next := 0; ; {
+		for ; next < len(faults) && len(pending) < lookahead; next++ {
+			if !camp.IsDetected(fault.ID(next)) {
+				t := &target{id: fault.ID(next), site: faults[next].Site, done: make(chan struct{})}
+				pending = append(pending, t)
+				jobs <- t
 			}
-			rep := camp.Simulate([]fault.TimedPattern{{Pat: pat}}, fault.SimOptions{})
+		}
+		if len(pending) == 0 {
+			return
+		}
+		t := pending[0]
+		pending = pending[1:]
+		<-t.done
+		switch {
+		case camp.IsDetected(t.id):
+			res.Discarded++
+		case !t.found:
+			res.Untestable++
+			if t.aborted {
+				res.Aborted++
+			}
+		default:
+			rep := camp.Simulate([]fault.TimedPattern{{Pat: t.pat}}, fault.SimOptions{})
 			if rep.DetectedThisRun() == 0 {
 				// The PODEM pattern must detect its target; a miss means a
 				// modeling bug — treat conservatively as untestable.
@@ -152,10 +225,9 @@ func Generate(m *circuits.Module, opt Options) *Result {
 				continue
 			}
 			res.PodemDet += rep.DetectedThisRun()
-			res.Patterns = append(res.Patterns, pat)
+			res.Patterns = append(res.Patterns, t.pat)
 		}
 	}
-	return res
 }
 
 // StaticCompact performs classic static test-set compaction: the patterns
@@ -202,9 +274,9 @@ func StaticCompact(m *circuits.Module, patterns []circuits.Pattern, opt Options)
 // returns one pattern per testable fault (no random phase, no dropping) —
 // a building block for tests and focused campaigns.
 func GenerateForSites(nl *netlist.Netlist, sites []netlist.FaultSite, maxBacktracks int) (pats []circuits.Pattern, untestable int) {
+	pd := newPodem(nl, maxBacktracks)
 	for _, s := range sites {
-		pd := newPodem(nl, s, maxBacktracks)
-		if pat, ok := pd.run(); ok {
+		if pat, ok := pd.run(s); ok {
 			pats = append(pats, pat)
 		} else {
 			untestable++

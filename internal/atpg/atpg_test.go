@@ -1,6 +1,8 @@
 package atpg
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"gpustl/internal/circuits"
@@ -59,9 +61,9 @@ func verifyPatternDetects(t *testing.T, nl *netlist.Netlist, f netlist.FaultSite
 
 func TestPodemSmallCircuitAllFaults(t *testing.T) {
 	nl := buildTestCircuit(t)
+	pd := newPodem(nl, 100)
 	for _, f := range fault.AllSites(nl) {
-		pd := newPodem(nl, f, 100)
-		pat, ok := pd.run()
+		pat, ok := pd.run(f)
 		if !ok {
 			t.Fatalf("fault %v reported untestable in an irredundant circuit", f)
 		}
@@ -81,13 +83,12 @@ func TestPodemUntestableFault(t *testing.T) {
 	if andGate < 0 {
 		t.Fatal("no AND gate")
 	}
-	pd := newPodem(nl, netlist.FaultSite{Gate: andGate, Pin: -1, SA1: false}, 100)
-	if _, ok := pd.run(); ok {
+	pd := newPodem(nl, 100)
+	if _, ok := pd.run(netlist.FaultSite{Gate: andGate, Pin: -1, SA1: false}); ok {
 		t.Fatal("untestable fault got a pattern")
 	}
 	// The same gate's sa1 IS testable (forces y=1 when a=0).
-	pd = newPodem(nl, netlist.FaultSite{Gate: andGate, Pin: -1, SA1: true}, 100)
-	pat, ok := pd.run()
+	pat, ok := pd.run(netlist.FaultSite{Gate: andGate, Pin: -1, SA1: true})
 	if !ok {
 		t.Fatal("testable sa1 not found")
 	}
@@ -103,9 +104,9 @@ func TestPodemOnSPSample(t *testing.T) {
 	// Deterministically spread a sample across the whole circuit.
 	step := len(sites) / 60
 	ok, bad := 0, 0
+	pd := newPodem(m.NL, 500)
 	for i := 0; i < len(sites); i += step {
-		pd := newPodem(m.NL, sites[i], 500)
-		pat, found := pd.run()
+		pat, found := pd.run(sites[i])
 		if !found {
 			bad++
 			continue
@@ -185,6 +186,10 @@ func TestKeepAllBlocksAddsRedundancy(t *testing.T) {
 		len(sres.Patterns), len(kres.Patterns), kres.Coverage())
 }
 
+// TestGenerateDeterminism checks that the PODEM phase's parallel target
+// window changes nothing but Discarded: one and four workers must emit
+// the same patterns and counts. A single random block leaves ~130 faults
+// to PODEM, enough for window commits to discard detected targets.
 func TestGenerateDeterminism(t *testing.T) {
 	m, err := circuits.Build(circuits.ModuleSP, 1)
 	if err != nil {
@@ -192,17 +197,28 @@ func TestGenerateDeterminism(t *testing.T) {
 	}
 	opt := DefaultOptions(5)
 	opt.SampleFaults = 500
-	opt.UsePodem = false
-	a := Generate(m, opt)
-	b := Generate(m, opt)
-	if len(a.Patterns) != len(b.Patterns) || a.RandomDet != b.RandomDet {
-		t.Fatalf("nondeterministic: %d/%d vs %d/%d",
-			len(a.Patterns), a.RandomDet, len(b.Patterns), b.RandomDet)
+	opt.RandomBlocks = 1
+	gen := func(procs int) *Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return Generate(m, opt)
 	}
-	for i := range a.Patterns {
-		if a.Patterns[i] != b.Patterns[i] {
-			t.Fatalf("pattern %d differs", i)
-		}
+	a, b := gen(1), gen(4)
+	if a.PodemDet == 0 || a.Aborted == 0 {
+		t.Fatalf("PODEM phase not exercised: %+v", *a)
+	}
+	if a.Discarded != 0 || b.Discarded == 0 {
+		t.Fatalf("discarded %d with one worker, %d with four; want 0 and > 0", a.Discarded, b.Discarded)
+	}
+	if a.Aborted > a.Untestable {
+		t.Fatalf("aborted %d exceeds untestable %d", a.Aborted, a.Untestable)
+	}
+	if patternHash(a.Patterns) != patternHash(b.Patterns) {
+		t.Fatalf("pattern sets differ: %d vs %d patterns", len(a.Patterns), len(b.Patterns))
+	}
+	a.Patterns, b.Patterns = nil, nil
+	a.Discarded, b.Discarded = 0, 0
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("counts differ:\n GOMAXPROCS=1 %+v\n GOMAXPROCS=4 %+v", *a, *b)
 	}
 }
 

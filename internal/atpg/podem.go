@@ -9,6 +9,9 @@
 package atpg
 
 import (
+	"cmp"
+	"slices"
+
 	"gpustl/internal/circuits"
 	"gpustl/internal/netlist"
 )
@@ -27,34 +30,101 @@ type tval struct{ g, f byte }
 
 func (t tval) isD() bool { return t.g != vX && t.f != vX && t.g != t.f }
 
-// podem is one PODEM run for a single fault.
+// podem is one worker's PODEM engine. Its scratch is sized to the
+// netlist once and reused across faults: run retargets it.
 type podem struct {
 	nl    *netlist.Netlist
 	fault netlist.FaultSite
 
-	pi   []byte // primary-input assignments (v0/v1/vX), indexed like Inputs
-	val  []tval // per-net composite values after imply
-	inIx map[int32]int
+	pi   []byte  // primary-input assignments (v0/v1/vX), indexed like Inputs
+	val  []tval  // per-net composite values, a pure function of pi
+	inIx []int32 // primary-input index per net (-1 for other nets)
+
+	// Event-driven implication: gates awaiting re-evaluation, bucketed
+	// by topological level. lo is the lowest possibly non-empty bucket.
+	buckets [][]int32
+	queued  []bool
+	lo      int
+
+	// cone is the fault gate's transitive fan-out (the gate included) in
+	// Order() order: the only gates a D or D' can reach.
+	cone   []int32
+	inCone []bool
+	df     []int32 // dFrontier result buffer
+
+	stack []decision
 
 	backtracks    int
 	maxBacktracks int
+	aborted       bool // the last run exhausted its backtrack budget
 }
 
-// newPodem prepares a run.
-func newPodem(nl *netlist.Netlist, f netlist.FaultSite, maxBacktracks int) *podem {
+// newPodem allocates a PODEM engine for nl.
+func newPodem(nl *netlist.Netlist, maxBacktracks int) *podem {
 	p := &podem{
 		nl:            nl,
-		fault:         f,
 		pi:            make([]byte, len(nl.Inputs)),
 		val:           make([]tval, len(nl.Gates)),
-		inIx:          make(map[int32]int, len(nl.Inputs)),
+		inIx:          make([]int32, len(nl.Gates)),
+		buckets:       make([][]int32, nl.Levels()+1),
+		queued:        make([]bool, len(nl.Gates)),
+		inCone:        make([]bool, len(nl.Gates)),
 		maxBacktracks: maxBacktracks,
 	}
+	for i := range p.inIx {
+		p.inIx[i] = -1
+	}
 	for i, net := range nl.Inputs {
-		p.pi[i] = vX
-		p.inIx[net] = i
+		p.inIx[net] = int32(i)
 	}
 	return p
+}
+
+// reset retargets the engine at fault f: every input back to X, values
+// re-implied from scratch, the fault cone rebuilt.
+func (p *podem) reset(f netlist.FaultSite) {
+	p.fault = f
+	for i := range p.pi {
+		p.pi[i] = vX
+	}
+	// An aborted run may leave events queued; the full imply below
+	// supersedes them.
+	for l := range p.buckets {
+		for _, id := range p.buckets[l] {
+			p.queued[id] = false
+		}
+		p.buckets[l] = p.buckets[l][:0]
+	}
+	p.lo = len(p.buckets)
+	p.imply()
+	p.buildCone()
+	p.stack = p.stack[:0]
+	p.backtracks = 0
+	p.aborted = false
+}
+
+// buildCone collects the fault gate's transitive fan-out and sorts it
+// into Order() order (level, then gate id).
+func (p *podem) buildCone() {
+	p.cone = append(p.cone[:0], p.fault.Gate)
+	p.inCone[p.fault.Gate] = true
+	for k := 0; k < len(p.cone); k++ {
+		for _, c := range p.nl.Fanout(p.cone[k]) {
+			if !p.inCone[c] {
+				p.inCone[c] = true
+				p.cone = append(p.cone, c)
+			}
+		}
+	}
+	for _, id := range p.cone {
+		p.inCone[id] = false
+	}
+	slices.SortFunc(p.cone, func(a, b int32) int {
+		if la, lb := p.nl.Level(a), p.nl.Level(b); la != lb {
+			return cmp.Compare(la, lb)
+		}
+		return cmp.Compare(a, b)
+	})
 }
 
 func not3(a byte) byte {
@@ -136,41 +206,91 @@ func eval3(k netlist.Kind, a, b, s byte) byte {
 	return v0 // KConst0
 }
 
-// imply forward-simulates the composite circuit from the current PI
-// assignments.
+// eval computes a net's composite value from its fan-in values.
+func (p *podem) eval(id int32) tval {
+	g := &p.nl.Gates[id]
+	var t tval
+	switch g.Kind {
+	case netlist.KInput:
+		v := p.pi[p.inIx[id]]
+		t = tval{v, v}
+	case netlist.KConst0:
+		t = tval{v0, v0}
+	case netlist.KConst1:
+		t = tval{v1, v1}
+	default:
+		var ig, fg [3]byte
+		for pin, n := 0, g.NumIn(); pin < n; pin++ {
+			in := p.val[g.In[pin]]
+			ig[pin], fg[pin] = in.g, in.f
+		}
+		if id == p.fault.Gate && p.fault.Pin >= 0 {
+			fg[p.fault.Pin] = p.sa()
+		}
+		t = tval{eval3(g.Kind, ig[0], ig[1], ig[2]), eval3(g.Kind, fg[0], fg[1], fg[2])}
+	}
+	if id == p.fault.Gate && p.fault.Pin < 0 {
+		t.f = p.sa()
+	}
+	return t
+}
+
+// imply forward-simulates the whole composite circuit from the current PI
+// assignments. It sets up a run's initial state; decisions after that go
+// through setPI.
 func (p *podem) imply() {
-	sa := v0
-	if p.fault.SA1 {
-		sa = v1
-	}
 	for _, id := range p.nl.Order() {
-		g := &p.nl.Gates[id]
-		var t tval
-		switch g.Kind {
-		case netlist.KInput:
-			v := p.pi[p.inIx[id]]
-			t = tval{v, v}
-		case netlist.KConst0:
-			t = tval{v0, v0}
-		case netlist.KConst1:
-			t = tval{v1, v1}
-		default:
-			var ig, fg [3]byte
-			for pin := 0; pin < g.NumIn(); pin++ {
-				in := p.val[g.In[pin]]
-				ig[pin] = in.g
-				fg[pin] = in.f
-				if id == p.fault.Gate && int8(pin) == p.fault.Pin {
-					fg[pin] = sa
-				}
-			}
-			t = tval{eval3(g.Kind, ig[0], ig[1], ig[2]), eval3(g.Kind, fg[0], fg[1], fg[2])}
-		}
-		if id == p.fault.Gate && p.fault.Pin < 0 {
-			t.f = sa
-		}
-		p.val[id] = t
+		p.val[id] = p.eval(id)
 	}
+}
+
+// setPI assigns primary input i and re-implies only what changed.
+func (p *podem) setPI(i int, v byte) {
+	p.assign(i, v)
+	p.propagate()
+}
+
+// assign changes primary input i and schedules its net for
+// re-evaluation; propagate applies the pending changes.
+func (p *podem) assign(i int, v byte) {
+	if p.pi[i] == v {
+		return
+	}
+	p.pi[i] = v
+	p.schedule(p.nl.Inputs[i])
+}
+
+func (p *podem) schedule(id int32) {
+	if p.queued[id] {
+		return
+	}
+	p.queued[id] = true
+	l := int(p.nl.Level(id))
+	p.buckets[l] = append(p.buckets[l], id)
+	if l < p.lo {
+		p.lo = l
+	}
+}
+
+// propagate re-evaluates the scheduled gates level by level, scheduling
+// the fan-out of every net whose value changed. Fan-out always sits at a
+// higher level, so each bucket is complete when its level is reached.
+func (p *podem) propagate() {
+	for l := p.lo; l < len(p.buckets); l++ {
+		for _, id := range p.buckets[l] {
+			p.queued[id] = false
+			t := p.eval(id)
+			if t == p.val[id] {
+				continue
+			}
+			p.val[id] = t
+			for _, c := range p.nl.Fanout(id) {
+				p.schedule(c)
+			}
+		}
+		p.buckets[l] = p.buckets[l][:0]
+	}
+	p.lo = len(p.buckets)
 }
 
 // sa returns the stuck value in three-valued encoding.
@@ -204,12 +324,13 @@ func (p *podem) detected() bool {
 }
 
 // dFrontier returns gates whose output is X in the good or faulty circuit
-// while at least one input carries a D. For input-pin faults the faulted
-// gate itself joins the frontier as soon as the pin is activated (the pin
-// discrepancy is a D that exists on no net).
+// while at least one input carries a D, in Order() order. For input-pin
+// faults the faulted gate itself joins the frontier as soon as the pin is
+// activated (the pin discrepancy is a D that exists on no net). Only the
+// fault cone can hold such gates. The result is reused by the next call.
 func (p *podem) dFrontier() []int32 {
-	var out []int32
-	for _, id := range p.nl.Order() {
+	out := p.df[:0]
+	for _, id := range p.cone {
 		g := &p.nl.Gates[id]
 		if g.NumIn() == 0 {
 			continue
@@ -231,6 +352,7 @@ func (p *podem) dFrontier() []int32 {
 			}
 		}
 	}
+	p.df = out
 	return out
 }
 
@@ -286,7 +408,7 @@ func (p *podem) backtrace(net int32, v byte) (int, byte, bool) {
 	for hops := 0; hops < len(p.nl.Gates); hops++ {
 		g := &p.nl.Gates[net]
 		if g.Kind == netlist.KInput {
-			return p.inIx[net], v, true
+			return int(p.inIx[net]), v, true
 		}
 		if g.NumIn() == 0 {
 			return 0, 0, false // constant: cannot justify
@@ -318,12 +440,11 @@ type decision struct {
 	flipped bool
 }
 
-// run executes the PODEM search. It returns the generated pattern and
-// true on success; (zero, false) when the fault is untestable or the
-// backtrack budget is exhausted.
-func (p *podem) run() (circuits.Pattern, bool) {
-	var stack []decision
-	p.imply()
+// run executes the PODEM search for fault f. It returns the generated
+// pattern and true on success; (zero, false) when the fault is untestable
+// or the backtrack budget is exhausted (p.aborted tells which).
+func (p *podem) run(f netlist.FaultSite) (circuits.Pattern, bool) {
+	p.reset(f)
 	for {
 		if p.detected() {
 			return p.pattern(), true
@@ -336,30 +457,31 @@ func (p *podem) run() (circuits.Pattern, bool) {
 			pi, v, feasible = p.backtrace(net, want)
 		}
 		if feasible {
-			stack = append(stack, decision{pi: pi, value: v})
-			p.pi[pi] = v
-			p.imply()
+			p.stack = append(p.stack, decision{pi: pi, value: v})
+			p.setPI(pi, v)
 			continue
 		}
-		// Backtrack.
+		// Backtrack: reset exhausted decisions to X, flip the newest
+		// unflipped one, then re-imply once.
 		for {
-			if len(stack) == 0 {
+			if len(p.stack) == 0 {
 				return circuits.Pattern{}, false
 			}
-			d := &stack[len(stack)-1]
+			d := &p.stack[len(p.stack)-1]
 			if !d.flipped {
 				d.flipped = true
 				d.value = not3(d.value)
-				p.pi[d.pi] = d.value
+				p.assign(d.pi, d.value)
 				p.backtracks++
 				if p.backtracks > p.maxBacktracks {
+					p.aborted = true
 					return circuits.Pattern{}, false
 				}
-				p.imply()
+				p.propagate()
 				break
 			}
-			p.pi[d.pi] = vX
-			stack = stack[:len(stack)-1]
+			p.assign(d.pi, vX)
+			p.stack = p.stack[:len(p.stack)-1]
 		}
 		if p.detected() {
 			return p.pattern(), true
