@@ -1,8 +1,10 @@
 // Command stlworker is the fault-simulation worker daemon of the
-// distributed campaign service. It serves shard requests over HTTP/JSON:
+// distributed campaign service. It serves shard requests over HTTP:
 // POST /simulate executes one shard (a fault subset plus the pattern
-// stream) on an in-process simulator, GET /healthz answers the
-// coordinator's heartbeats.
+// stream, sent as a binary shard frame; see internal/dist/wire.go) on
+// an in-process simulator, GET /healthz answers the coordinator's
+// heartbeats. The frame format is versioned and has no fallback, so
+// workers and the coordinator are upgraded together.
 //
 // Usage:
 //

@@ -29,9 +29,9 @@
 //     of an error.
 //
 // Transports: Local executes shards in-process (tests, single-machine
-// parallelism); HTTP speaks JSON to a cmd/stlworker daemon (NewHandler
-// is the server side). Chaos decorates any transport with fault
-// injection for the chaos test harness.
+// parallelism); HTTP sends binary shard frames (wire.go) to a
+// cmd/stlworker daemon (NewHandler is the server side). Chaos decorates
+// any transport with fault injection for the chaos test harness.
 package dist
 
 import (
@@ -39,6 +39,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"gpustl/internal/circuits"
 	"gpustl/internal/fault"
@@ -50,38 +51,38 @@ import (
 type ShardRequest struct {
 	// Shard and Attempt identify the dispatch; workers echo both so the
 	// coordinator can reject stale or misdirected replies.
-	Shard   int `json:"shard"`
-	Attempt int `json:"attempt"`
+	Shard   int
+	Attempt int
 	// Module and Lanes select the gate-level model to elaborate.
-	Module circuits.ModuleKind `json:"module"`
-	Lanes  int                 `json:"lanes"`
+	Module circuits.ModuleKind
+	Lanes  int
 	// Faults is the shard's explicit fault list; detections refer to it
 	// by index, so coordinator and worker need not share a master list.
-	Faults []fault.Fault `json:"faults"`
+	Faults []fault.Fault
 	// Stream is the ordered pattern stream (already reversed when the
 	// campaign runs with Reverse semantics).
-	Stream []fault.TimedPattern `json:"stream"`
+	Stream []fault.TimedPattern
 }
 
 // Detection is one first detection inside a shard reply.
 type Detection struct {
-	Fault   int32  `json:"fault"`   // index into the request's fault list
-	Pattern int32  `json:"pattern"` // index into the request's stream
-	CC      uint64 `json:"cc"`      // clock cycle of that pattern
+	Fault   int32  // index into the request's fault list
+	Pattern int32  // index into the request's stream
+	CC      uint64 // clock cycle of that pattern
 }
 
 // ShardResult is a worker's reply to one ShardRequest.
 type ShardResult struct {
-	Shard      int         `json:"shard"`
-	Attempt    int         `json:"attempt"`
-	Worker     string      `json:"worker"`
-	Detections []Detection `json:"detections"`
+	Shard      int
+	Attempt    int
+	Worker     string
+	Detections []Detection
 	// Stats carries the worker's engine counters (dedup dictionary hit
 	// rate, activation pre-screen skips, ...) for this shard. Advisory
 	// telemetry: the coordinator aggregates accepted replies' stats into
 	// Result.SimStats, but never bases correctness decisions on them, so
 	// Validate leaves them unchecked.
-	Stats fault.SimStats `json:"stats"`
+	Stats fault.SimStats
 	// Checksum is the content checksum of Detections
 	// (ChecksumDetections). It catches accidental in-flight corruption
 	// cheaply; it does NOT authenticate the worker — a Byzantine worker
@@ -89,7 +90,7 @@ type ShardResult struct {
 	// coordinator's verification re-executes shards on a second worker
 	// and votes on these sums. Empty means a legacy worker; the
 	// coordinator accepts but cannot cross-check such replies.
-	Checksum string `json:"checksum,omitempty"`
+	Checksum string
 }
 
 // ChecksumDetections computes the canonical content checksum of a
@@ -99,9 +100,21 @@ type ShardResult struct {
 // sums match; any divergence is corruption or a lie.
 func ChecksumDetections(dets []Detection) string {
 	h := sha256.New()
+	buf := make([]byte, 0, 1024)
 	for _, d := range dets {
-		fmt.Fprintf(h, "%d:%d:%d\n", d.Fault, d.Pattern, d.CC)
+		buf = strconv.AppendInt(buf, int64(d.Fault), 10)
+		buf = append(buf, ':')
+		buf = strconv.AppendInt(buf, int64(d.Pattern), 10)
+		buf = append(buf, ':')
+		buf = strconv.AppendUint(buf, d.CC, 10)
+		buf = append(buf, '\n')
+		// A line is at most 45 bytes; flush while the next one fits.
+		if len(buf) > cap(buf)-64 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

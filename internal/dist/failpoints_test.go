@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"math/rand"
 	"testing"
 	"time"
@@ -114,9 +113,9 @@ func TestRestrictedWrapperLeavesOtherSitesAlone(t *testing.T) {
 	}
 }
 
-// FuzzShardReply fuzzes the reply ingestion path end to end: JSON
-// decoding of an untrusted worker reply, cross-validation against a
-// small request, and checksum verification must never panic, whatever
+// FuzzShardReply fuzzes the reply ingestion path end to end: binary
+// frame decoding of an untrusted worker reply, cross-validation against
+// a small request, and checksum verification must never panic, whatever
 // bytes arrive — corrupted checksums included.
 func FuzzShardReply(f *testing.F) {
 	req := &ShardRequest{
@@ -129,13 +128,16 @@ func FuzzShardReply(f *testing.F) {
 		Detections: []Detection{{Fault: 0, Pattern: 1, CC: 17}, {Fault: 2, Pattern: 2, CC: 21}},
 	}
 	good.Checksum = ChecksumDetections(good.Detections)
-	seed, _ := json.Marshal(good)
-	f.Add(seed)
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"shard":1,"attempt":2,"detections":[{"fault":-1,"pattern":9,"cc":0}],"checksum":"zz"}`))
+	f.Add(encodeResult(good))
+	f.Add(encodeResult(&ShardResult{}))
+	f.Add(encodeResult(&ShardResult{
+		Shard: 1, Attempt: 2,
+		Detections: []Detection{{Fault: -1, Pattern: 9, CC: 0}},
+		Checksum:   "zz",
+	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var res ShardResult
-		if err := json.Unmarshal(data, &res); err != nil {
+		if err := decodeResult(data, &res); err != nil {
 			return
 		}
 		verr := res.Validate(req)

@@ -74,8 +74,9 @@ func (e *BusyError) Is(target error) bool { return target == ErrBusy }
 // shrink it.
 var MaxReplyBytes int64 = 64 << 20
 
-// HTTP is the client-side Transport speaking JSON to a cmd/stlworker
-// daemon: POST /simulate with a ShardRequest body, GET /healthz for
+// HTTP is the client-side Transport of a cmd/stlworker daemon: POST
+// /simulate carries a ShardRequest frame out and a ShardResult frame
+// back (the binary shard wire format, wire.go), GET /healthz answers
 // heartbeats. Request contexts propagate cancellation, so a hedged
 // loser or a dead worker's dispatch aborts the HTTP round trip.
 type HTTP struct {
@@ -99,15 +100,11 @@ func (t *HTTP) Name() string { return t.base }
 
 // Simulate implements Transport.
 func (t *HTTP) Simulate(ctx context.Context, req *ShardRequest) (*ShardResult, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("dist: encoding shard %d: %w", req.Shard, err)
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, t.base+simulatePath, bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, t.base+simulatePath, bytes.NewReader(encodeRequest(req)))
 	if err != nil {
 		return nil, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("Content-Type", wireContentType)
 	if dl, ok := ctx.Deadline(); ok {
 		// Propagate the dispatch deadline so the worker can refuse or
 		// bound work on an already-expired campaign.
@@ -138,19 +135,17 @@ func (t *HTTP) Simulate(ctx context.Context, req *ShardRequest) (*ShardResult, e
 		return nil, fmt.Errorf("dist: worker %s: HTTP %d: %s",
 			t.base, hres.StatusCode, strings.TrimSpace(string(msg)))
 	}
-	// Read through a hard size limit: one extra byte past the cap
-	// distinguishes "too big" from a reply that exactly fits, and a
-	// truncated body surfaces as a JSON error rather than a hang.
-	lr := &io.LimitedReader{R: hres.Body, N: MaxReplyBytes + 1}
-	data, err := io.ReadAll(lr)
+	// Read through a hard size limit; a truncated body surfaces as a
+	// read or decode error rather than a hang.
+	data, err := readFrame(hres.Body, hres.ContentLength, MaxReplyBytes)
+	if errors.Is(err, errFrameTooLarge) {
+		return nil, fmt.Errorf("dist: worker %s: reply exceeds %d-byte limit", t.base, MaxReplyBytes)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("dist: worker %s: reading reply: %w", t.base, err)
 	}
-	if int64(len(data)) > MaxReplyBytes {
-		return nil, fmt.Errorf("dist: worker %s: reply exceeds %d-byte limit", t.base, MaxReplyBytes)
-	}
 	var res ShardResult
-	if err := json.Unmarshal(data, &res); err != nil {
+	if err := decodeResult(data, &res); err != nil {
 		return nil, fmt.Errorf("dist: worker %s: decoding reply: %w", t.base, err)
 	}
 	return &res, nil
@@ -322,6 +317,11 @@ func NewHandlerOptions(name string, o WorkerOptions) *WorkerHandler {
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 		http.Error(w, "worker saturated ("+why+"), shard not accepted", http.StatusTooManyRequests)
 	}
+	tooLarge := func(w http.ResponseWriter) {
+		m.Counter("gpustl_worker_bad_requests_total").Inc()
+		http.Error(w, fmt.Sprintf("shard request exceeds %d-byte limit", MaxRequestBytes),
+			http.StatusRequestEntityTooLarge)
+	}
 	h.mux.HandleFunc(healthPath, func(w http.ResponseWriter, r *http.Request) {
 		m.Counter("gpustl_worker_pings_total").Inc()
 		if h.draining.Load() {
@@ -378,6 +378,12 @@ func NewHandlerOptions(name string, o WorkerOptions) *WorkerHandler {
 			http.Error(w, "worker draining, shard not accepted", http.StatusServiceUnavailable)
 			return
 		}
+		// A declared body past the cap is refused unread; one that
+		// declares none (chunked) is capped while it is read, below.
+		if r.ContentLength > MaxRequestBytes {
+			tooLarge(w)
+			return
+		}
 		// Memory accounting first — it never queues, so an oversized
 		// burst bounces in microseconds — then the concurrency slot,
 		// which may wait briefly in the bounded accept queue.
@@ -416,8 +422,16 @@ func NewHandlerOptions(name string, o WorkerOptions) *WorkerHandler {
 			ctx, cancel = context.WithDeadline(ctx, dl)
 			defer cancel()
 		}
+		data, err := readFrame(r.Body, r.ContentLength, MaxRequestBytes)
+		if errors.Is(err, errFrameTooLarge) {
+			tooLarge(w)
+			return
+		}
 		var req ShardRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err == nil {
+			err = decodeRequest(data, &req)
+		}
+		if err != nil {
 			m.Counter("gpustl_worker_bad_requests_total").Inc()
 			http.Error(w, fmt.Sprintf("bad shard request: %v", err), http.StatusBadRequest)
 			return
@@ -472,8 +486,10 @@ func NewHandlerOptions(name string, o WorkerOptions) *WorkerHandler {
 		logf("shard %d attempt %d: %d faults, %d patterns -> %d detections (%v)",
 			req.Shard, req.Attempt, len(req.Faults), len(req.Stream),
 			len(res.Detections), elapsed.Round(time.Millisecond))
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(res); err != nil {
+		frame := encodeResult(res)
+		w.Header().Set("Content-Type", wireContentType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+		if _, err := w.Write(frame); err != nil {
 			logf("shard %d attempt %d: writing reply: %v", req.Shard, req.Attempt, err)
 		}
 	})

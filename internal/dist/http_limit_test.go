@@ -17,10 +17,10 @@ func fakeWorker(t *testing.T, body []byte, truncateAt int) *HTTP {
 			http.NotFound(w, r)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Type", wireContentType)
 		if truncateAt > 0 && truncateAt < len(body) {
 			// Advertise the full length, send a prefix, then die: the
-			// client sees a truncated body mid-JSON.
+			// client sees a truncated body mid-frame.
 			w.Header().Set("Content-Length", itoa(len(body)))
 			w.Write(body[:truncateAt])
 			if f, ok := w.(http.Flusher); ok {
@@ -46,13 +46,13 @@ func itoa(n int) string {
 }
 
 func TestSimulateRejectsTruncatedReply(t *testing.T) {
-	body := []byte(`{"shard":1,"attempt":1,"worker":"w","detections":[]}`)
+	body := encodeResult(&ShardResult{Shard: 1, Attempt: 1, Worker: "w", Detections: []Detection{}})
 	tr := fakeWorker(t, body, len(body)/2)
 	_, err := tr.Simulate(context.Background(), &ShardRequest{Shard: 1, Attempt: 1})
 	if err == nil {
 		t.Fatal("truncated reply accepted")
 	}
-	// A torn body fails at the transport read or the JSON decode — either
+	// A torn body fails at the transport read or the frame decode — either
 	// way the shard errors and the retry machinery takes over.
 	if !strings.Contains(err.Error(), "reply") {
 		t.Errorf("error does not blame the reply: %v", err)
@@ -64,8 +64,8 @@ func TestSimulateRejectsOversizedReply(t *testing.T) {
 	MaxReplyBytes = 64
 	defer func() { MaxReplyBytes = old }()
 
-	huge := `{"shard":1,"attempt":1,"worker":"` + strings.Repeat("w", 200) + `","detections":[]}`
-	tr := fakeWorker(t, []byte(huge), 0)
+	huge := encodeResult(&ShardResult{Shard: 1, Attempt: 1, Worker: strings.Repeat("w", 200), Detections: []Detection{}})
+	tr := fakeWorker(t, huge, 0)
 	_, err := tr.Simulate(context.Background(), &ShardRequest{Shard: 1, Attempt: 1})
 	if err == nil || !strings.Contains(err.Error(), "exceeds 64-byte limit") {
 		t.Fatalf("oversized reply accepted: %v", err)
@@ -73,7 +73,7 @@ func TestSimulateRejectsOversizedReply(t *testing.T) {
 }
 
 func TestSimulateAcceptsReplyAtLimit(t *testing.T) {
-	body := []byte(`{"shard":1,"attempt":1,"worker":"w","detections":[]}`)
+	body := encodeResult(&ShardResult{Shard: 1, Attempt: 1, Worker: "w", Detections: []Detection{}})
 	old := MaxReplyBytes
 	MaxReplyBytes = int64(len(body))
 	defer func() { MaxReplyBytes = old }()

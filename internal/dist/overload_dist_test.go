@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"math/rand"
@@ -259,7 +258,7 @@ func TestDeadlineHeaderWorkerSide(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", wireContentType)
 		if deadline != "" {
 			req.Header.Set(deadlineHeader, deadline)
 		}
@@ -458,5 +457,5 @@ func TestWorkerMemoryAccounting429(t *testing.T) {
 // marshalShardRequest keeps the test body honest about the wire format
 // without exporting anything new.
 func marshalShardRequest(req *ShardRequest) ([]byte, error) {
-	return json.Marshal(req)
+	return encodeRequest(req), nil
 }
