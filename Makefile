@@ -98,8 +98,9 @@ bench:
 FAULT_BENCHES = 'BenchmarkFaultSimulation$$|BenchmarkTableI$$'
 
 # The levelized-plan evaluator sweeps, scalar and wide (BENCH_eval.json):
-# the per-block cost of the SoA plan at W = 1/4/8/16.
-EVAL_BENCHES = 'BenchmarkEvalRun$$|BenchmarkEvalRunWide/'
+# the per-block cost of the SoA plan at W = 1/4/8/16, and the compiled
+# stem-cone fills (ns per cone op) at W = 4/8/16.
+EVAL_BENCHES = 'BenchmarkEvalRun$$|BenchmarkEvalRunWide/|BenchmarkStemFill/'
 
 # The overload pair: the fault-sim benchmark with and without the
 # unlimited admission/deadline plumbing. BENCH_overload.json also

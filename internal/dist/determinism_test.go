@@ -75,18 +75,27 @@ func sortedIDs(ids []fault.ID) []fault.ID {
 }
 
 // TestPartitionRemainingCovers checks the coordinator's actual
-// partitioner: every remaining fault appears in exactly one shard, and
-// detected faults in none.
+// partitioner: every remaining fault appears in exactly one shard,
+// detected faults in none, and the faults of one (lane, fanout-free
+// region) group all in the same shard, so no two workers fill the same
+// stem for the same block.
 func TestPartitionRemainingCovers(t *testing.T) {
 	m := spModule(t)
 	stream := randomSPStream(rand.New(rand.NewSource(62)), m.Lanes, 256)
 	camp := newSPCampaign(t, m, 600, 71)
 	camp.Simulate(stream, fault.SimOptions{Workers: 1}) // drop a few faults first
 
+	ci := m.NL.Cone()
+	faults := camp.Faults()
 	for _, k := range []int{1, 2, 4, 9} {
 		parts := camp.PartitionRemaining(k)
+		if len(parts) != k {
+			t.Fatalf("k=%d: %d shards for %d remaining faults", k, len(parts), camp.Remaining())
+		}
 		seen := map[fault.ID]bool{}
-		for _, ids := range parts {
+		type group struct{ lane, root int32 }
+		shardOf := map[group]int{}
+		for si, ids := range parts {
 			if len(ids) == 0 {
 				t.Fatalf("k=%d: empty shard emitted", k)
 			}
@@ -98,6 +107,13 @@ func TestPartitionRemainingCovers(t *testing.T) {
 					t.Fatalf("k=%d: detected fault %d partitioned", k, id)
 				}
 				seen[id] = true
+				f := faults[id]
+				g := group{int32(f.Lane), ci.FFRRoot(f.Site.Gate)}
+				if prev, ok := shardOf[g]; ok && prev != si {
+					t.Fatalf("k=%d: lane %d region %d split over shards %d and %d",
+						k, g.lane, g.root, prev, si)
+				}
+				shardOf[g] = si
 			}
 		}
 		if len(seen) != camp.Remaining() {

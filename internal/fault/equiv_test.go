@@ -39,22 +39,30 @@ func TestOptimizedMatchesReference(t *testing.T) {
 		name string
 		mod  func(testing.TB) *circuits.Module
 		opt  SimOptions
+		n    int // stream length before doubling, dealt round-robin over the lanes
 	}{
-		{"du_serial", duModule, SimOptions{}},
-		{"du_reverse", duModule, SimOptions{Reverse: true}},
-		{"sp_serial", spModule, SimOptions{}},
-		{"sp_reverse", spModule, SimOptions{Reverse: true}},
-		{"sp_workers4", spModule, SimOptions{Workers: 4}},
-		{"sp_reverse_workers3", spModule, SimOptions{Reverse: true, Workers: 3}},
+		{"du_serial", duModule, SimOptions{}, 300},
+		{"du_reverse", duModule, SimOptions{Reverse: true}, 300},
+		{"sp_serial", spModule, SimOptions{}, 300},
+		{"sp_reverse", spModule, SimOptions{Reverse: true}, 300},
+		{"sp_workers4", spModule, SimOptions{Workers: 4}, 300},
+		{"sp_reverse_workers3", spModule, SimOptions{Reverse: true, Workers: 3}, 300},
 		// Every supported block width, serial and sharded: detections must
 		// be byte-identical to the scalar reference at any W.
-		{"du_w1", duModule, SimOptions{BlockWords: 1}},
-		{"du_w4", duModule, SimOptions{BlockWords: 4}},
-		{"du_w8", duModule, SimOptions{BlockWords: 8}},
-		{"du_w16", duModule, SimOptions{BlockWords: 16}},
-		{"sp_w4", spModule, SimOptions{BlockWords: 4}},
-		{"sp_w8_workers4", spModule, SimOptions{BlockWords: 8, Workers: 4}},
-		{"sp_w16_reverse", spModule, SimOptions{BlockWords: 16, Reverse: true}},
+		{"du_w1", duModule, SimOptions{BlockWords: 1}, 300},
+		{"du_w4", duModule, SimOptions{BlockWords: 4}, 300},
+		{"du_w8", duModule, SimOptions{BlockWords: 8}, 300},
+		{"du_w16", duModule, SimOptions{BlockWords: 16}, 300},
+		{"sp_w4", spModule, SimOptions{BlockWords: 4}, 300},
+		{"sp_w8_workers4", spModule, SimOptions{BlockWords: 8, Workers: 4}, 300},
+		{"sp_w16_reverse", spModule, SimOptions{BlockWords: 16, Reverse: true}, 300},
+		// Past 512 unique patterns per lane a W=16 block spans both 8-word
+		// observability chunks, so faults that survive the first half are
+		// resolved from separately filled upper halves (700 per lane).
+		{"du_long_w16", duModule, SimOptions{BlockWords: 16}, 700},
+		{"du_long_auto_reverse_workers4", duModule, SimOptions{Reverse: true, Workers: 4}, 700},
+		{"sp_long_w16_reverse", spModule, SimOptions{BlockWords: 16, Reverse: true}, 8 * 700},
+		{"sp_long_auto_workers4", spModule, SimOptions{Workers: 4}, 8 * 700},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -62,9 +70,9 @@ func TestOptimizedMatchesReference(t *testing.T) {
 			r := rand.New(rand.NewSource(99))
 			var stream []TimedPattern
 			if m.Lanes > 1 {
-				stream = dupStream(randomSPStream(r, m.Lanes, 300))
+				stream = dupStream(randomSPStream(r, m.Lanes, tc.n))
 			} else {
-				stream = dupStream(randomDUStream(r, 300))
+				stream = dupStream(randomDUStream(r, tc.n))
 			}
 
 			run := func(noOpt bool) (*Report, []ID) {

@@ -733,47 +733,82 @@ type shardResult struct {
 }
 
 // partitionByLane splits the campaign's currently undetected faults into
-// k shards, round-robin, with each shard's faults grouped by lane (the
-// layout simulateShard consumes). Faults for lanes the module build does
-// not have are skipped, matching the simulation loop. Faults are dealt
-// in cone order, so every shard's lane list comes out sorted for the
-// optimized engine with no per-run sorting; results are independent of
-// the deal order because first detections are per-fault.
+// k shards, with each shard's faults grouped by lane (the layout the
+// shard loops consume). Faults for lanes the module build does not have
+// are skipped, matching the simulation loop.
+//
+// Faults are dealt round-robin in whole (lane, fanout-free-region root)
+// groups rather than one at a time. Every fault in a region reads its
+// observability from the root's stem fill (Evaluator.ObsW), and the fill
+// is memoized per evaluator, so two shards holding faults of one group
+// would each pay the same fill on the same block; whole groups make a
+// sharded run do exactly the fills of a serial one. A site whose gate is
+// outside the netlist is its own group, so it still reaches a worker and
+// panics there, inside the worker's recover, as the reference engine's
+// would. Faults are dealt in cone order, so every shard's lane list comes
+// out sorted for the optimized engine with no per-run sorting; results
+// are independent of the deal because first detections are per-fault.
 func (c *Campaign) partitionByLane(k int) [][][]ID {
 	if k < 1 {
 		k = 1
 	}
-	shards := make([][][]ID, k)
-	perLane := make([]int, c.Module.Lanes)
+	lanes := c.Module.Lanes
 	order, _ := c.coneOrdering()
+	live := func(id ID) bool { return !c.detected[id] && int(c.faults[id].Lane) < lanes }
+	perLane := make([]int, lanes)
 	for _, id := range order {
-		f := &c.faults[id]
-		if !c.detected[id] && int(f.Lane) < c.Module.Lanes {
-			perLane[f.Lane]++
+		if live(id) {
+			perLane[c.faults[id].Lane]++
 		}
 	}
+	shards := make([][][]ID, k)
 	for w := range shards {
-		shards[w] = make([][]ID, c.Module.Lanes)
+		shards[w] = make([][]ID, lanes)
 		for lane, cnt := range perLane {
 			shards[w][lane] = make([]ID, 0, (cnt+k-1)/k)
 		}
 	}
+
+	// owner[lane*ng+root] is 1 + the shard dealt that (lane, region)
+	// group, 0 while the group is unseen. A serial run needs no deal.
+	ci := c.Module.NL.Cone()
+	ng := ci.NumGatesIndexed()
+	var owner []int32
+	if k > 1 {
+		owner = make([]int32, lanes*ng)
+	}
 	next := 0
+	deal := func() int {
+		w := next
+		next = (next + 1) % k
+		return w
+	}
 	for _, id := range order {
-		f := &c.faults[id]
-		if c.detected[id] || int(f.Lane) >= c.Module.Lanes {
+		if !live(id) {
 			continue
 		}
-		shards[next][f.Lane] = append(shards[next][f.Lane], id)
-		next = (next + 1) % k
+		f := &c.faults[id]
+		w := 0
+		if k > 1 {
+			if g := f.Site.Gate; g >= 0 && int(g) < ng {
+				o := &owner[int(f.Lane)*ng+int(ci.FFRRoot(g))]
+				if *o == 0 {
+					*o = int32(deal()) + 1
+				}
+				w = int(*o) - 1
+			} else {
+				w = deal()
+			}
+		}
+		shards[w][f.Lane] = append(shards[w][f.Lane], id)
 	}
 	return shards
 }
 
 // PartitionRemaining splits the campaign's currently undetected faults
-// into at most k shards using the same lane-grouped round-robin
-// partitioning the in-process parallel simulator uses, flattened to
-// plain id lists (lane-major within each shard). Empty shards are
+// into at most k shards using the same lane- and region-grouped
+// round-robin partitioning the in-process parallel simulator uses,
+// flattened to plain id lists (lane-major within each shard). Empty shards are
 // dropped, so fewer than k shards come back when few faults remain.
 // Because first detections are per-fault, simulating the shards in any
 // order — or on any mix of workers — and merging the detections yields
@@ -1115,10 +1150,10 @@ func (c *Campaign) buildWalk(dst []walkFault, remaining []ID, ci *netlist.ConeIn
 
 // simulateShardOptWide is simulateShardOpt for block widths above one
 // word. The per-visit work stays word-granular on purpose: the visit
-// scans the block's 64-pattern words in order, computing the one-word
-// site delta (SiteDeltaAt) and, only when it is non-zero, ANDing it with
-// the one-word memoized observability (ObsAt), stopping at the first
-// word that detects. Word order equals stream order, so the earliest set
+// scans the block's 64-pattern words in order for the compiled site op's
+// activation (SiteOpFirstActive) and ANDs active words with the memoized
+// observability (ObsW, filled one chunk of at most eight words at a
+// time), stopping at the first word that detects. Word order equals stream order, so the earliest set
 // bit at any width names the same unique pattern the scalar walk would —
 // and a fault that dies in its first active word pays one word of work,
 // not W, which is what makes wide blocks a win on real streams where
@@ -1136,7 +1171,8 @@ func (c *Campaign) simulateShardOptWide(ctx context.Context, ordered []TimedPatt
 	// The walk buffer is the shard's largest allocation (one entry per
 	// undetected fault, rewritten per lane); recycle it across campaigns.
 	walk, _ := walkBufPool.Get().([]walkFault)
-	defer func() { walkBufPool.Put(walk[:0]) }() //nolint:staticcheck // slice header boxing is fine here
+	//nolint:staticcheck // slice header boxing is fine here
+	defer func() { walkBufPool.Put(walk[:0]) }()
 	mask := make([]uint64, w) // valid-pattern mask of the current block
 	for lane := range lanes {
 		ls := &lanes[lane]
@@ -1180,20 +1216,34 @@ func (c *Campaign) simulateShardOptWide(ctx context.Context, ordered []TimedPatt
 						continue
 					}
 				}
-				j0, d0 := ev.SiteOpFirstActive(f.op, mask, words)
-				if j0 < 0 {
+				j, d := ev.SiteOpFirstActive(f.op, mask, 0, words)
+				if j < 0 {
 					sr.stats.PrescreenSkips++
 					walk[kept] = *f
 					kept++
 					continue
 				}
 				sr.stats.Propagations++
-				obs := ev.ObsW(f.gate)
+				// Observability comes one chunk (half a W=16 block) at a
+				// time: the chunk holding the first active word, then the
+				// next one only if nothing there detected and the site is
+				// active in it.
 				first := -1
-				if x := d0 & obs[j0]; x != 0 {
-					first = j0*64 + bits.TrailingZeros64(x)
-				} else if j, x := ev.SiteOpDetectFrom(f.op, mask, obs, j0+1, words); j >= 0 {
-					first = j*64 + bits.TrailingZeros64(x)
+				for j >= 0 {
+					obs, end := ev.ObsW(f.gate, j)
+					end = min(end, words)
+					if x := d & obs[j]; x != 0 {
+						first = j*64 + bits.TrailingZeros64(x)
+						break
+					}
+					if jd, x := ev.SiteOpDetectFrom(f.op, mask, obs, j+1, end); jd >= 0 {
+						first = jd*64 + bits.TrailingZeros64(x)
+						break
+					}
+					if end == words {
+						break
+					}
+					j, d = ev.SiteOpFirstActive(f.op, mask, end, words)
 				}
 				if first < 0 {
 					walk[kept] = *f

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"gpustl/internal/netlist"
 )
 
 // TestParallelMatchesSerial verifies that worker count never changes the
@@ -68,6 +70,73 @@ func TestParallelDroppingAcrossRuns(t *testing.T) {
 	}
 	if serial.Detected() != par.Detected() {
 		t.Fatalf("campaign state differs: %d vs %d", serial.Detected(), par.Detected())
+	}
+}
+
+// TestPartitionGroupsRegions checks the in-process partitioner: every
+// live fault lands in exactly one shard, under its own lane, in cone
+// order; each (lane, fanout-free region) group sits whole in one shard;
+// and no shard is empty. A site outside the netlist must not trip the
+// partitioner — it is dealt like any fault and panics later, inside a
+// worker (TestSimulateCtxWorkerPanicRecovered).
+func TestPartitionGroupsRegions(t *testing.T) {
+	m := spModule(t)
+	c := NewCampaign(m)
+	c.SampleFaults(800, 5)
+	c.Simulate(randomSPStream(rand.New(rand.NewSource(6)), m.Lanes, 64), SimOptions{})
+	ci := m.NL.Cone()
+	_, rank := c.coneOrdering()
+	for _, k := range []int{2, 4, 9} {
+		shards := c.partitionByLane(k)
+		if len(shards) != k {
+			t.Fatalf("k=%d: %d shards", k, len(shards))
+		}
+		type group struct{ lane, root int32 }
+		shardOf := map[group]int{}
+		seen := map[ID]bool{}
+		for w, lanes := range shards {
+			n := 0
+			for lane, ids := range lanes {
+				for i, id := range ids {
+					f := c.faults[id]
+					if int(f.Lane) != lane || c.detected[id] || seen[id] {
+						t.Fatalf("k=%d shard %d lane %d: misplaced fault %d (%v)", k, w, lane, id, f)
+					}
+					if i > 0 && rank[ids[i-1]] > rank[id] {
+						t.Fatalf("k=%d shard %d lane %d: not in cone order at %d", k, w, lane, i)
+					}
+					seen[id] = true
+					g := group{int32(lane), ci.FFRRoot(f.Site.Gate)}
+					if prev, ok := shardOf[g]; ok && prev != w {
+						t.Fatalf("k=%d: lane %d region %d split over shards %d and %d", k, lane, g.root, prev, w)
+					}
+					shardOf[g] = w
+				}
+				n += len(ids)
+			}
+			if n == 0 {
+				t.Fatalf("k=%d: shard %d is empty", k, w)
+			}
+		}
+		if len(seen) != c.Remaining() {
+			t.Fatalf("k=%d: shards hold %d faults, %d remain", k, len(seen), c.Remaining())
+		}
+	}
+
+	bogus := NewCampaignWithFaults(m, []Fault{
+		{Lane: 0, Site: c.faults[0].Site},
+		{Lane: 1, Site: c.faults[0].Site},
+		{Lane: 0, Site: netlist.FaultSite{Gate: 1 << 20, Pin: -1}},
+		{Lane: 0, Site: netlist.FaultSite{Gate: -3, Pin: -1}},
+	})
+	total := 0
+	for _, lanes := range bogus.partitionByLane(4) {
+		for _, ids := range lanes {
+			total += len(ids)
+		}
+	}
+	if total != 4 {
+		t.Fatalf("corrupt sites: partition holds %d of 4 faults", total)
 	}
 }
 

@@ -24,6 +24,8 @@ type ConeInfo struct {
 	// same detection mask for every fault in the class.
 	classOf     []int32   // class id per gate
 	classInputs [][]int32 // primary-input indices per class (support set)
+
+	ffrRoot []int32 // fanout-free-region root per gate
 }
 
 // DetSupp returns the detection-support bitset of a gate: bit i is set
@@ -60,6 +62,13 @@ func (ci *ConeInfo) SupportSize(gate int32) int {
 	}
 	return n
 }
+
+// FFRRoot returns the root of the gate's fanout-free region: the gate
+// reached by following single-consumer edges downstream until a net with
+// no consumer or several consumers. The observability of every net in the
+// region derives from the root's (Evaluator.ObsW), so faults whose sites
+// share a root share the root's stem fill.
+func (ci *ConeInfo) FFRRoot(gate int32) int32 { return ci.ffrRoot[gate] }
 
 // NumClasses returns the number of cone-equivalence classes.
 func (ci *ConeInfo) NumClasses() int { return len(ci.classInputs) }
@@ -138,10 +147,16 @@ func buildCone(n *Netlist) *ConeInfo {
 
 	// Reverse topological pass: dsupp(g) ∪= dsupp(c) for every consumer c.
 	// Consumers sit at strictly higher levels, so walking the order
-	// backwards sees them finalized. Fanout edges into DFF data pins were
-	// never recorded, matching the combinational-only detection semantics.
+	// backwards sees them finalized — fanout-free-region roots included.
+	// Fanout edges into DFF data pins were never recorded, matching the
+	// combinational-only detection semantics.
+	ci.ffrRoot = make([]int32, ng)
 	for i := len(n.order) - 1; i >= 0; i-- {
 		id := n.order[i]
+		ci.ffrRoot[id] = id
+		if fo := n.fanout[id]; len(fo) == 1 {
+			ci.ffrRoot[id] = ci.ffrRoot[fo[0]]
+		}
 		row := ci.detSupp[int(id)*words : (int(id)+1)*words]
 		for _, c := range n.fanout[id] {
 			src := ci.detSupp[int(c)*words : (int(c)+1)*words]

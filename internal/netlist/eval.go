@@ -36,12 +36,12 @@ func (f FaultSite) String() string {
 // good[n*W : (n+1)*W], pattern p at word p/64, bit p%64 — bit order is
 // stream order, so first detections are identical at every width. The
 // faulty-cone machinery is deliberately word-granular at every width:
-// SiteDeltaAt, ObsAt and FaultDetectDeltaAt operate on one 64-pattern
-// word offset of the wide block, so a caller scanning words in order
-// stops paying the moment a detection (or a proven zero) appears — most
-// faults die in their first active word, and the block's later words are
-// only ever touched for the survivors. The offset-free scalar methods
-// (SiteDelta, FaultDetect, Obs, Output, Value) are the W == 1
+// the SiteOp scans work word by word and ObsW fills observability one
+// chunk of at most eight words at a time, so a caller scanning words in
+// order stops paying the moment a detection (or a proven zero) appears —
+// most faults die in their first active word, and the block's later
+// words are only ever touched for the survivors. The offset-free scalar
+// methods (SiteDelta, FaultDetect, Obs, Output, Value) are the W == 1
 // specialization the reference engine, ATPG and tests use; they require
 // a width-1 evaluator.
 type Evaluator struct {
@@ -64,18 +64,22 @@ type Evaluator struct {
 	lvls   []int32
 
 	// Per-block observability memo (see Obs/ObsW), one W-word row per
-	// net, invalidated by Run via its own epoch.
-	obsVal   []uint64 // stride w
-	obsStamp []uint32
-	obsEpoch uint32
-	obsChain []int32
-	isOut    []bool
+	// net, invalidated by Run via its own epoch. Rows are memoized in
+	// obsChunks chunks of up to obsChunkWords words, each with its own
+	// stamp: net n's chunk c is valid when obsStamp[n*obsChunks+c] ==
+	// obsEpoch.
+	obsVal    []uint64 // stride w
+	obsStamp  []uint32 // stride obsChunks
+	obsChunks int
+	obsEpoch  uint32
+	obsChain  []int32
+	isOut     []bool
 
 	// Primary-output nets marked in the current faulty epoch; lets the
 	// detect scan visit only touched outputs instead of all of them.
 	touchedOuts []int32
 
-	flipBuf []uint64 // sensFlipW's flipped-input row, w words
+	flipBuf []uint64 // sensFlipW's flipped-input chunk, obsChunkWords words
 
 	// stems caches the netlist's static stem cones (fetched on first wide
 	// stem fill); see StemCones.
@@ -111,20 +115,22 @@ func NewEvaluatorWide(nl *Netlist, w int) (*Evaluator, error) {
 	// good and faulty share one backing array so compiled stem-cone ops
 	// can address either copy as a slot into a single buffer (stemcone.go).
 	gf := make([]uint64, 2*ng*w)
+	chunks := (w + obsChunkWords - 1) / obsChunkWords
 	e := &Evaluator{
-		nl:       nl,
-		w:        w,
-		plan:     nl.Plan(),
-		gf:       gf,
-		good:     gf[: ng*w : ng*w],
-		faulty:   gf[ng*w:],
-		stamp:    make([]uint32, ng),
-		sched:    make([]uint32, ng),
-		bucket:   make([][]int32, nl.maxLvl+1),
-		obsVal:   make([]uint64, ng*w),
-		obsStamp: make([]uint32, ng),
-		isOut:    make([]bool, ng),
-		flipBuf:  make([]uint64, w),
+		nl:        nl,
+		w:         w,
+		plan:      nl.Plan(),
+		gf:        gf,
+		good:      gf[: ng*w : ng*w],
+		faulty:    gf[ng*w:],
+		stamp:     make([]uint32, ng),
+		sched:     make([]uint32, ng),
+		bucket:    make([][]int32, nl.maxLvl+1),
+		obsVal:    make([]uint64, ng*w),
+		obsStamp:  make([]uint32, ng*chunks),
+		obsChunks: chunks,
+		isOut:     make([]bool, ng),
+		flipBuf:   make([]uint64, obsChunkWords),
 	}
 	for _, o := range nl.Outputs {
 		e.isOut[o] = true
@@ -770,68 +776,69 @@ func (e *Evaluator) SiteOpDeltaAt(op SiteOp, off int) uint64 {
 	}
 }
 
-// SiteOpFirstActive scans words 0..words-1 of the current block for the
-// first word where the compiled site op's activation, masked by the
+// SiteOpFirstActive scans words from..words-1 of the current block for
+// the first word where the compiled site op's activation, masked by the
 // block's valid-pattern mask, is non-zero, and returns its index and
-// masked value (or -1, 0 when the site never activates — the activation
-// pre-screen outcome). The op switch is hoisted out of the word loop, so
-// the common all-zero scan runs as one tight loop per site shape.
-func (e *Evaluator) SiteOpFirstActive(op SiteOp, mask []uint64, words int) (int, uint64) {
+// masked value (or -1, 0 when the site never activates there — from 0,
+// the activation pre-screen outcome). The op switch is hoisted out of the
+// word loop, so the common all-zero scan runs as one tight loop per site
+// shape.
+func (e *Evaluator) SiteOpFirstActive(op SiteOp, mask []uint64, from, words int) (int, uint64) {
 	w := e.w
 	good := e.good
 	switch op.Op {
 	case SopBuf:
 		a := int(op.A) * w
-		for j := 0; j < words; j++ {
+		for j := from; j < words; j++ {
 			if d := good[a+j] & mask[j]; d != 0 {
 				return j, d
 			}
 		}
 	case SopNot:
 		a := int(op.A) * w
-		for j := 0; j < words; j++ {
+		for j := from; j < words; j++ {
 			if d := ^good[a+j] & mask[j]; d != 0 {
 				return j, d
 			}
 		}
 	case SopXor:
 		a, b := int(op.A)*w, int(op.B)*w
-		for j := 0; j < words; j++ {
+		for j := from; j < words; j++ {
 			if d := (good[a+j] ^ good[b+j]) & mask[j]; d != 0 {
 				return j, d
 			}
 		}
 	case SopXnor:
 		a, b := int(op.A)*w, int(op.B)*w
-		for j := 0; j < words; j++ {
+		for j := from; j < words; j++ {
 			if d := ^(good[a+j] ^ good[b+j]) & mask[j]; d != 0 {
 				return j, d
 			}
 		}
 	case SopAndXor:
 		a, b, c := int(op.A)*w, int(op.B)*w, int(op.C)*w
-		for j := 0; j < words; j++ {
+		for j := from; j < words; j++ {
 			if d := (good[a+j]&good[b+j] ^ good[c+j]) & mask[j]; d != 0 {
 				return j, d
 			}
 		}
 	case SopAndnXor:
 		a, b, c := int(op.A)*w, int(op.B)*w, int(op.C)*w
-		for j := 0; j < words; j++ {
+		for j := from; j < words; j++ {
 			if d := (^good[a+j]&good[b+j] ^ good[c+j]) & mask[j]; d != 0 {
 				return j, d
 			}
 		}
 	case SopOrXor:
 		a, b, c := int(op.A)*w, int(op.B)*w, int(op.C)*w
-		for j := 0; j < words; j++ {
+		for j := from; j < words; j++ {
 			if d := ((good[a+j] | good[b+j]) ^ good[c+j]) & mask[j]; d != 0 {
 				return j, d
 			}
 		}
 	default: // SopOrnXor
 		a, b, c := int(op.A)*w, int(op.B)*w, int(op.C)*w
-		for j := 0; j < words; j++ {
+		for j := from; j < words; j++ {
 			if d := ((^good[a+j] | good[b+j]) ^ good[c+j]) & mask[j]; d != 0 {
 				return j, d
 			}
@@ -974,10 +981,10 @@ func (e *Evaluator) bumpEpoch() {
 }
 
 // Obs returns the packed observability mask of a gate's output net for
-// the block loaded by the last Run (W == 1; wide evaluators use ObsAt
-// per word): bit s is set when flipping the net on pattern s alone
-// produces a primary-output discrepancy. Gate functions are bitwise, so
-// the patterns are independent and the detection mask of any single-site
+// the block loaded by the last Run (W == 1; wide evaluators use ObsW):
+// bit s is set when flipping the net on pattern s alone produces a
+// primary-output discrepancy. Gate functions are bitwise, so the
+// patterns are independent and the detection mask of any single-site
 // fault factors exactly:
 //
 //	FaultDetectDelta(f, delta) == delta & Obs(f.Gate)
@@ -1024,96 +1031,107 @@ func (e *Evaluator) Obs(gate int32) uint64 {
 	return e.obsVal[gate]
 }
 
-// ObsW is Obs for wide evaluators: the returned W-word row (which must
-// not be mutated) is the gate's observability mask for the whole block,
-// pattern p at word p/64 bit p%64. The memoization scheme is the same as
-// Obs's; a stem's row is filled by a single event-driven cone walk whose
-// scheduling cost amortizes over all W words (stemObsW).
-func (e *Evaluator) ObsW(gate int32) []uint64 {
+// obsChunkWords is the granularity of the wide observability memo: ObsW
+// fills and memoizes a row in chunks of at most this many words (512
+// patterns), so a W=16 block keeps its two halves apart. A fault loop
+// scanning words in order usually settles in the half that holds the
+// fault's first active word, and then never pays for the other half's
+// stem fills.
+const obsChunkWords = 8
+
+// ObsW is Obs for wide evaluators: the gate's observability mask for the
+// chunk of the current block that holds word, pattern p at word p/64 bit
+// p%64. It returns the gate's whole W-word row (which must not be
+// mutated) and the end of that chunk: only the chunk's words — word
+// rounded down to a multiple of obsChunkWords, up to end — are
+// guaranteed filled. At W ≤ obsChunkWords the chunk is the whole row.
+// The memoization scheme is Obs's, kept per chunk; a stem's chunk is
+// filled by one pass over its compiled cone (stemObsW).
+func (e *Evaluator) ObsW(gate int32, word int) ([]uint64, int) {
+	c := word / obsChunkWords
+	lo := c * obsChunkWords
+	hi := min(lo+obsChunkWords, e.w)
+	nc := e.obsChunks
 	g := gate
-	for e.obsStamp[g] != e.obsEpoch {
+	for e.obsStamp[int(g)*nc+c] != e.obsEpoch {
 		fo := e.nl.fanout[g]
 		if len(fo) == 1 {
 			e.obsChain = append(e.obsChain, g)
 			g = fo[0]
 			continue
 		}
-		dst := e.row(e.obsVal, g)
+		dst := e.row(e.obsVal, g)[lo:hi]
 		if e.isOut[g] { // a primary output observes any flip directly
 			for j := range dst {
 				dst[j] = ^uint64(0)
 			}
 		} else if len(fo) > 1 { // fanout stem: one explicit cone propagation
-			e.stemObsW(g, dst)
+			e.stemObsW(g, lo, hi)
 		} else {
-			for j := range dst {
-				dst[j] = 0
-			}
+			clear(dst)
 		}
-		e.obsStamp[g] = e.obsEpoch
+		e.obsStamp[int(g)*nc+c] = e.obsEpoch
 	}
-	obs := e.row(e.obsVal, g)
+	obs := e.row(e.obsVal, g)[lo:hi]
 	for i := len(e.obsChain) - 1; i >= 0; i-- {
 		gi := e.obsChain[i]
-		dst := e.row(e.obsVal, gi)
+		dst := e.row(e.obsVal, gi)[lo:hi]
 		if e.isOut[gi] { // directly observed, whatever happens downstream
 			for j := range dst {
 				dst[j] = ^uint64(0)
 			}
 		} else {
-			e.sensFlipW(gi, e.nl.fanout[gi][0], dst)
+			e.sensFlipW(gi, e.nl.fanout[gi][0], dst, lo, hi)
 			for j := range dst {
 				dst[j] &= obs[j]
 			}
 		}
-		e.obsStamp[gi] = e.obsEpoch
+		e.obsStamp[int(gi)*nc+c] = e.obsEpoch
 		obs = dst
 	}
 	e.obsChain = e.obsChain[:0]
-	return e.row(e.obsVal, gate)
+	return e.row(e.obsVal, gate), hi
 }
 
-// stemObsW fills dst with the W-word observability row of fanout stem g:
+// stemObsW fills words lo..hi-1 of fanout stem g's observability row:
 // the detection mask of an all-ones flip at g.
 //
 // Flipping a stem for a whole block diverges essentially its entire
 // static cone — across 64×W patterns some pattern sensitizes almost
-// every path — so the fill walks the precomputed level-ordered cone list
-// (StemCones) in one flat loop: every cone gate is pre-stamped into the
-// faulty epoch and evaluated exactly once, with no per-gate scheduling
-// (fan-out scans, level buckets, divergence tests) at all. Stems whose
-// cone exceeded the netlist's cache budget use the event-driven walk of
-// FaultDetectDelta on whole rows instead.
-func (e *Evaluator) stemObsW(g int32, dst []uint64) {
+// every path — so the fill runs the stem's precompiled kind runs
+// (StemCones) in one flat pass over the chunk's words: every cone gate is
+// evaluated exactly once, with no per-gate scheduling (fan-out scans,
+// level buckets, divergence tests) at all. Stems whose cone exceeded the
+// netlist's cache budget use the event-driven walk of FaultDetectDelta on
+// whole rows instead, and memoize every chunk at once.
+func (e *Evaluator) stemObsW(g int32, lo, hi int) {
 	if e.stems == nil {
 		e.stems = e.nl.StemCones()
 	}
+	dst := e.row(e.obsVal, g)
 	frow, grow := e.row(e.faulty, g), e.row(e.good, g)
-	for j := range frow {
-		frow[j] = ^grow[j]
-	}
 
-	if sc := &e.stems[g]; sc.Ops != nil {
+	if sc := &e.stems[g]; sc.Code != nil {
 		// The compiled cone resolves every operand to the good or faulty
 		// half of the combined buffer at build time, so the flat walk
 		// needs no epoch, no stamps, and no per-operand source checks.
-		if e.w == 16 {
-			evalConeOps16(e.gf, sc.Ops)
-		} else {
-			evalConeOps(e.gf, sc.Ops, e.w)
+		for j := lo; j < hi; j++ {
+			frow[j] = ^grow[j]
 		}
-		for j := range dst {
-			dst[j] = 0
-		}
+		evalCone(e.gf, sc.Code, e.w, lo, hi-lo)
+		clear(dst[lo:hi])
 		for _, out := range sc.Outs {
 			fr, gr := e.row(e.faulty, out), e.row(e.good, out)
-			for j := range dst {
+			for j := lo; j < hi; j++ {
 				dst[j] |= fr[j] ^ gr[j]
 			}
 		}
 		return
 	}
 
+	for j := range frow {
+		frow[j] = ^grow[j]
+	}
 	e.bumpEpoch()
 	e.markTouch(g)
 	// Same level-ordered walk as FaultDetectDelta, on whole rows.
@@ -1131,14 +1149,15 @@ func (e *Evaluator) stemObsW(g int32, dst []uint64) {
 		e.bucket[l] = gates[:0]
 	}
 
-	for j := range dst {
-		dst[j] = 0
-	}
+	clear(dst)
 	for _, out := range e.touchedOuts {
 		fr, gr := e.row(e.faulty, out), e.row(e.good, out)
 		for j := range dst {
 			dst[j] |= fr[j] ^ gr[j]
 		}
+	}
+	for c := 0; c < e.obsChunks; c++ {
+		e.obsStamp[int(g)*e.obsChunks+c] = e.obsEpoch
 	}
 }
 
@@ -1159,27 +1178,27 @@ func (e *Evaluator) sensFlip(from, c int32) uint64 {
 	return gateFn(g.Kind, v[0], v[1], v[2]) ^ e.good[c]
 }
 
-// sensFlipW is sensFlip on W-word rows, written into dst (which must not
-// alias a good row).
-func (e *Evaluator) sensFlipW(from, c int32, dst []uint64) {
+// sensFlipW is sensFlip on words lo..hi-1 of W-word rows, written into
+// dst (hi-lo words, which must not alias a good row).
+func (e *Evaluator) sensFlipW(from, c int32, dst []uint64, lo, hi int) {
 	g := &e.nl.Gates[c]
 	var rows [3][]uint64
 	flipped := false
 	for p := 0; p < g.NumIn(); p++ {
-		r := e.row(e.good, g.In[p])
+		r := e.row(e.good, g.In[p])[lo:hi]
 		if g.In[p] == from {
 			if !flipped {
-				for j := range e.flipBuf {
+				for j := range r {
 					e.flipBuf[j] = ^r[j]
 				}
 				flipped = true
 			}
-			r = e.flipBuf
+			r = e.flipBuf[:len(r)]
 		}
 		rows[p] = r
 	}
 	gateFnW(g.Kind, rows, dst)
-	grow := e.row(e.good, c)
+	grow := e.row(e.good, c)[lo:hi]
 	for j := range dst {
 		dst[j] ^= grow[j]
 	}

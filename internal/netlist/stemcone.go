@@ -1,9 +1,12 @@
 package netlist
 
+import "math/bits"
+
 // StemCone is the static downstream cone of one fanout stem, compiled to
-// a flat op list in non-decreasing level order (so a single forward pass
-// evaluates producers before consumers), plus the primary-output nets the
-// stem reaches — including the stem itself when it is an output.
+// runs of same-kind gate ops in non-decreasing level order (so a single
+// forward pass evaluates producers before consumers), plus the
+// primary-output nets the stem reaches — including the stem itself when
+// it is an output.
 //
 // The wide observability fill flips a stem to the complement of its
 // fault-free row across a whole block (64×W patterns). Such a flip
@@ -11,46 +14,36 @@ package netlist
 // some pattern sensitizes almost every path — so an event-driven walk
 // re-discovers the same static cone every block while paying scheduling
 // (stamps, fan-out scans, level buckets) per gate per fill. Evaluating
-// the precompiled op list instead makes the fill a flat loop whose only
+// the precompiled runs instead makes the fill a flat loop whose only
 // per-gate work is the gate function itself.
 //
-// Each op's operand slots are resolved at build time: an operand inside
-// the cone (or the stem itself) reads the faulty half of the evaluator's
-// combined good|faulty buffer, anything else reads the good half. That
-// removes the per-operand stamp check (a data-dependent load) the
+// Code packs the cone's kind runs back to back. Each run is a header
+// word, n<<coneKindBits | kind, followed by n row slots: one operand
+// tuple of 1+arity slots per gate, the destination, then the gate's
+// inputs in pin order. The gates of one level are independent of each
+// other, so grouping each level's ops by kind reorders nothing that
+// matters and lets a fill dispatch once per run instead of once per gate
+// — the same per-level, per-kind sweep the fault-free plan uses
+// (plan.go). Tuples carry only the pins their kind has, so unary gates
+// cost two slots and binary gates three.
+//
+// Row slots are resolved at build time: slot s addresses the row of net
+// s in the good half of the evaluator's combined good|faulty buffer, and
+// slot len(Gates)+s the row of net s in its faulty half. An operand
+// inside the cone (or the stem itself) reads the faulty half, anything
+// else the good half, and a destination is always in the faulty half.
+// That removes the per-operand stamp check (a data-dependent load) the
 // event-driven walk needs to decide which copy holds the operand.
 type StemCone struct {
-	Ops  []ConeOp // compiled cone in level order; nil when over budget
-	Outs []int32  // reachable primary-output nets (stem included when an output)
+	Code []int32 // kind runs in level order; nil when over budget
+	Outs []int32 // reachable primary-output nets (stem included when an output)
 }
 
-// ConeOp is one compiled cone gate: Kind selects the gate function and
-// Dst/A/B/C are row slots into the evaluator's combined buffer — slot s
-// addresses words s*w .. s*w+w-1, with slots below len(Gates) in the good
-// half and slots offset by len(Gates) in the faulty half. Dst always
-// points at the faulty half.
-type ConeOp struct {
-	Dst, A, B, C int32
-	Kind         uint8
-}
-
-// Compiled cone op kinds, mirroring the combinational gate kinds a cone
-// can contain (sources have no input pins, so they never appear in a
-// fan-out cone).
-const (
-	copBuf uint8 = iota
-	copNot
-	copAnd
-	copOr
-	copXor
-	copNand
-	copNor
-	copXnor
-	copMux
-)
+// coneKindBits is the width of the kind field of a run header.
+const coneKindBits = 4
 
 // stemConeBudget bounds the total number of cone ops cached per netlist.
-// Stems past the budget keep nil lists and the observability fill falls
+// Stems past the budget keep nil code and the observability fill falls
 // back to the event-driven walk for them.
 const stemConeBudget = 1 << 23
 
@@ -59,11 +52,13 @@ const stemConeBudget = 1 << 23
 // netlist on first use and immutable afterwards, so it is safe to share
 // across evaluators and goroutines.
 func (n *Netlist) StemCones() []StemCone {
-	n.stemOnce.Do(func() { n.stemCones = buildStemCones(n) })
+	n.stemOnce.Do(func() { n.stemCones = buildStemCones(n, stemConeBudget) })
 	return n.stemCones
 }
 
-func buildStemCones(n *Netlist) []StemCone {
+// buildStemCones compiles every stem's cone in gate order; a stem whose
+// cone would take the running op total past budget keeps nil code.
+func buildStemCones(n *Netlist, budget int) []StemCone {
 	ng := len(n.Gates)
 	cones := make([]StemCone, ng)
 
@@ -79,12 +74,15 @@ func buildStemCones(n *Netlist) []StemCone {
 	reach := n.Cone().firstOut
 
 	// Per-stem reachability with epoch-stamped visits; level buckets are
-	// reused across stems to emit each cone in level order without a sort.
+	// reused across stems to emit each cone in level order without a
+	// sort, and kinds[l] marks which gate kinds level l holds, so the
+	// code length (one header per kind run) is known before emitting.
 	seen := make([]uint32, ng)
 	epoch := uint32(0)
 	buckets := make([][]int32, n.maxLvl+1)
+	kinds := make([]uint16, n.maxLvl+1)
+	var byKind [NumKinds][]int32
 	queue := make([]int32, 0, 256)
-	budget := stemConeBudget
 
 	for g := int32(0); g < int32(ng); g++ {
 		if len(n.fanout[g]) < 2 {
@@ -93,7 +91,7 @@ func buildStemCones(n *Netlist) []StemCone {
 		epoch++
 		queue = queue[:0]
 		seen[g] = epoch
-		total := 0
+		total, slots := 0, 0
 		for _, c := range n.fanout[g] {
 			if seen[c] != epoch && reach[c] >= 0 {
 				seen[c] = epoch
@@ -103,8 +101,11 @@ func buildStemCones(n *Netlist) []StemCone {
 		for qi := 0; qi < len(queue); qi++ {
 			id := queue[qi]
 			l := n.level[id]
+			k := n.Gates[id].Kind
 			buckets[l] = append(buckets[l], id)
+			kinds[l] |= 1 << k
 			total++
+			slots += 1 + arity(k)
 			for _, c := range n.fanout[id] {
 				if seen[c] != epoch && reach[c] >= 0 {
 					seen[c] = epoch
@@ -114,21 +115,36 @@ func buildStemCones(n *Netlist) []StemCone {
 		}
 		if total > budget {
 			for l := range buckets {
-				buckets[l] = buckets[l][:0]
+				buckets[l], kinds[l] = buckets[l][:0], 0
 			}
 			continue // over budget: this stem falls back to the event walk
 		}
 		budget -= total
+		for _, m := range kinds {
+			slots += bits.OnesCount16(m)
+		}
 		sc := &cones[g]
-		sc.Ops = make([]ConeOp, 0, total)
+		sc.Code = make([]int32, 0, slots)
 		for l := range buckets {
 			for _, id := range buckets[l] {
-				sc.Ops = append(sc.Ops, compileConeOp(n, seen, epoch, id))
+				k := n.Gates[id].Kind
+				byKind[k] = append(byKind[k], id)
 				if isOut[id] {
 					sc.Outs = append(sc.Outs, id)
 				}
 			}
-			buckets[l] = buckets[l][:0]
+			for k := range byKind {
+				if len(byKind[k]) == 0 {
+					continue
+				}
+				run := len(byKind[k]) * (1 + arity(Kind(k)))
+				sc.Code = append(sc.Code, int32(run)<<coneKindBits|int32(k))
+				for _, id := range byKind[k] {
+					sc.Code = appendConeOp(sc.Code, n, seen, epoch, id)
+				}
+				byKind[k] = byKind[k][:0]
+			}
+			buckets[l], kinds[l] = buckets[l][:0], 0
 		}
 		if isOut[g] {
 			sc.Outs = append(sc.Outs, g)
@@ -137,161 +153,203 @@ func buildStemCones(n *Netlist) []StemCone {
 	return cones
 }
 
-// compileConeOp resolves gate id into a ConeOp for the stem whose cone
+// appendConeOp appends gate id's operand tuple for the stem whose cone
 // membership is marked in seen with the given epoch: member operands
 // (including the stem) read the faulty half, everything else the good
 // half. Operands always sit at strictly lower levels than their consumer,
-// so member operands are written before any op reads them.
-func compileConeOp(n *Netlist, seen []uint32, epoch uint32, id int32) ConeOp {
+// so member operands are written before any op reads them. Cones only
+// hold combinational gates: sources have no fan-in, so they are never
+// enqueued as a consumer.
+func appendConeOp(code []int32, n *Netlist, seen []uint32, epoch uint32, id int32) []int32 {
 	ng := int32(len(n.Gates))
-	slot := func(net int32) int32 {
-		if seen[net] == epoch {
-			return ng + net
-		}
-		return net
-	}
 	g := &n.Gates[id]
-	op := ConeOp{Dst: ng + id}
-	switch g.Kind {
-	case KBuf:
-		op.Kind, op.A = copBuf, slot(g.In[0])
-	case KNot:
-		op.Kind, op.A = copNot, slot(g.In[0])
-	case KAnd:
-		op.Kind, op.A, op.B = copAnd, slot(g.In[0]), slot(g.In[1])
-	case KOr:
-		op.Kind, op.A, op.B = copOr, slot(g.In[0]), slot(g.In[1])
-	case KXor:
-		op.Kind, op.A, op.B = copXor, slot(g.In[0]), slot(g.In[1])
-	case KNand:
-		op.Kind, op.A, op.B = copNand, slot(g.In[0]), slot(g.In[1])
-	case KNor:
-		op.Kind, op.A, op.B = copNor, slot(g.In[0]), slot(g.In[1])
-	case KXnor:
-		op.Kind, op.A, op.B = copXnor, slot(g.In[0]), slot(g.In[1])
-	case KMux:
-		op.Kind = copMux
-		op.A, op.B, op.C = slot(g.In[0]), slot(g.In[1]), slot(g.In[2])
-	default:
-		// Sources have no fan-in and can never be enqueued as a consumer;
-		// keep a harmless self-copy so an unexpected kind stays a no-op.
-		op.Kind, op.A = copBuf, id
+	code = append(code, ng+id)
+	for _, net := range g.In[:g.NumIn()] {
+		if seen[net] == epoch {
+			net += ng
+		}
+		code = append(code, net)
 	}
-	return op
+	return code
 }
 
-// evalConeOps runs a compiled cone against the evaluator's combined
-// good|faulty buffer at width w. evalConeOps16 is the same loop with the
-// dominant width fixed so every word loop has a constant trip count and
-// no bounds checks.
-func evalConeOps(gf []uint64, ops []ConeOp, w int) {
-	for i := range ops {
-		op := &ops[i]
-		dst := gf[int(op.Dst)*w : int(op.Dst)*w+w]
-		a := gf[int(op.A)*w:]
-		a = a[:len(dst)]
-		switch op.Kind {
-		case copBuf:
-			copy(dst, a)
-		case copNot:
-			for j := range dst {
-				dst[j] = ^a[j]
+// coneRow is the set of narrow row chunks the generic cone kernel is
+// instantiated at: a fill evaluates one chunk of at most obsChunkWords
+// words of every row, and a pointer-to-array operand gives each width
+// its own bounds-check-free word loop with a constant trip count. Full
+// chunks, the W=8 and W=16 case, run evalConeRuns8 instead.
+type coneRow interface {
+	*[1]uint64 | *[2]uint64 | *[3]uint64 | *[4]uint64 |
+		*[5]uint64 | *[6]uint64 | *[7]uint64
+}
+
+// evalCone runs a compiled cone over words off..off+cw-1 of every row of
+// the evaluator's combined good|faulty buffer gf (row stride w), where
+// cw is the chunk width 1..obsChunkWords.
+func evalCone(gf []uint64, code []int32, w, off, cw int) {
+	switch cw {
+	case 1:
+		evalConeRuns[*[1]uint64](gf, code, w, off)
+	case 2:
+		evalConeRuns[*[2]uint64](gf, code, w, off)
+	case 3:
+		evalConeRuns[*[3]uint64](gf, code, w, off)
+	case 4:
+		evalConeRuns[*[4]uint64](gf, code, w, off)
+	case 5:
+		evalConeRuns[*[5]uint64](gf, code, w, off)
+	case 6:
+		evalConeRuns[*[6]uint64](gf, code, w, off)
+	case 7:
+		evalConeRuns[*[7]uint64](gf, code, w, off)
+	case obsChunkWords:
+		evalConeRuns8(gf, code, w, off)
+	default:
+		panic("netlist: cone chunk width out of range")
+	}
+}
+
+// evalConeRuns is evalCone at one chunk width R below obsChunkWords: one
+// kind dispatch per run, then a loop over the run's operand tuples whose
+// word loop the compiler specializes to R's length.
+func evalConeRuns[R coneRow](gf []uint64, code []int32, w, off int) {
+	row := func(slot int32) R { return R(gf[int(slot)*w+off:]) }
+	for len(code) > 0 {
+		h := code[0]
+		ops := code[1 : 1+int(h>>coneKindBits)]
+		code = code[1+len(ops):]
+		switch Kind(h & (1<<coneKindBits - 1)) {
+		case KBuf:
+			for ; len(ops) >= 2; ops = ops[2:] {
+				d, a := row(ops[0]), row(ops[1])
+				for j := 0; j < len(d); j++ {
+					d[j] = a[j]
+				}
 			}
-		case copAnd:
-			b := gf[int(op.B)*w:]
-			b = b[:len(dst)]
-			for j := range dst {
-				dst[j] = a[j] & b[j]
+		case KNot:
+			for ; len(ops) >= 2; ops = ops[2:] {
+				d, a := row(ops[0]), row(ops[1])
+				for j := 0; j < len(d); j++ {
+					d[j] = ^a[j]
+				}
 			}
-		case copOr:
-			b := gf[int(op.B)*w:]
-			b = b[:len(dst)]
-			for j := range dst {
-				dst[j] = a[j] | b[j]
+		case KAnd:
+			for ; len(ops) >= 3; ops = ops[3:] {
+				d, a, b := row(ops[0]), row(ops[1]), row(ops[2])
+				for j := 0; j < len(d); j++ {
+					d[j] = a[j] & b[j]
+				}
 			}
-		case copXor:
-			b := gf[int(op.B)*w:]
-			b = b[:len(dst)]
-			for j := range dst {
-				dst[j] = a[j] ^ b[j]
+		case KOr:
+			for ; len(ops) >= 3; ops = ops[3:] {
+				d, a, b := row(ops[0]), row(ops[1]), row(ops[2])
+				for j := 0; j < len(d); j++ {
+					d[j] = a[j] | b[j]
+				}
 			}
-		case copNand:
-			b := gf[int(op.B)*w:]
-			b = b[:len(dst)]
-			for j := range dst {
-				dst[j] = ^(a[j] & b[j])
+		case KXor:
+			for ; len(ops) >= 3; ops = ops[3:] {
+				d, a, b := row(ops[0]), row(ops[1]), row(ops[2])
+				for j := 0; j < len(d); j++ {
+					d[j] = a[j] ^ b[j]
+				}
 			}
-		case copNor:
-			b := gf[int(op.B)*w:]
-			b = b[:len(dst)]
-			for j := range dst {
-				dst[j] = ^(a[j] | b[j])
+		case KNand:
+			for ; len(ops) >= 3; ops = ops[3:] {
+				d, a, b := row(ops[0]), row(ops[1]), row(ops[2])
+				for j := 0; j < len(d); j++ {
+					d[j] = ^(a[j] & b[j])
+				}
 			}
-		case copXnor:
-			b := gf[int(op.B)*w:]
-			b = b[:len(dst)]
-			for j := range dst {
-				dst[j] = ^(a[j] ^ b[j])
+		case KNor:
+			for ; len(ops) >= 3; ops = ops[3:] {
+				d, a, b := row(ops[0]), row(ops[1]), row(ops[2])
+				for j := 0; j < len(d); j++ {
+					d[j] = ^(a[j] | b[j])
+				}
 			}
-		case copMux:
-			b := gf[int(op.B)*w:]
-			b = b[:len(dst)]
-			c := gf[int(op.C)*w:]
-			c = c[:len(dst)]
-			for j := range dst {
-				dst[j] = (a[j] & c[j]) | (^a[j] & b[j])
+		case KXnor:
+			for ; len(ops) >= 3; ops = ops[3:] {
+				d, a, b := row(ops[0]), row(ops[1]), row(ops[2])
+				for j := 0; j < len(d); j++ {
+					d[j] = ^(a[j] ^ b[j])
+				}
+			}
+		case KMux: // In[0]=sel, In[1]=lo, In[2]=hi
+			for ; len(ops) >= 4; ops = ops[4:] {
+				d, s, lo, hi := row(ops[0]), row(ops[1]), row(ops[2]), row(ops[3])
+				for j := 0; j < len(d); j++ {
+					d[j] = (s[j] & hi[j]) | (^s[j] & lo[j])
+				}
 			}
 		}
 	}
 }
 
-func evalConeOps16(gf []uint64, ops []ConeOp) {
-	for i := range ops {
-		op := &ops[i]
-		dst := (*[16]uint64)(gf[int(op.Dst)*16:])
-		a := (*[16]uint64)(gf[int(op.A)*16:])
-		switch op.Kind {
-		case copBuf:
-			*dst = *a
-		case copNot:
-			for j := range dst {
-				dst[j] = ^a[j]
+// evalConeRuns8 is evalConeRuns for full 8-word chunks, the W=8 and W=16
+// case, with the word loops written out: Go does not unroll loops, and
+// each tuple assignment reads all its operand words before it stores
+// any. On the SP and SFU cones an op costs a fifth to a third less than
+// in the loop form.
+func evalConeRuns8(gf []uint64, code []int32, w, off int) {
+	row := func(slot int32) *[8]uint64 { return (*[8]uint64)(gf[int(slot)*w+off:]) }
+	for len(code) > 0 {
+		h := code[0]
+		ops := code[1 : 1+int(h>>coneKindBits)]
+		code = code[1+len(ops):]
+		switch Kind(h & (1<<coneKindBits - 1)) {
+		case KBuf:
+			for ; len(ops) >= 2; ops = ops[2:] {
+				*row(ops[0]) = *row(ops[1])
 			}
-		case copAnd:
-			b := (*[16]uint64)(gf[int(op.B)*16:])
-			for j := range dst {
-				dst[j] = a[j] & b[j]
+		case KNot:
+			for ; len(ops) >= 2; ops = ops[2:] {
+				d, a := row(ops[0]), row(ops[1])
+				d[0], d[1], d[2], d[3] = ^a[0], ^a[1], ^a[2], ^a[3]
+				d[4], d[5], d[6], d[7] = ^a[4], ^a[5], ^a[6], ^a[7]
 			}
-		case copOr:
-			b := (*[16]uint64)(gf[int(op.B)*16:])
-			for j := range dst {
-				dst[j] = a[j] | b[j]
+		case KAnd:
+			for ; len(ops) >= 3; ops = ops[3:] {
+				d, a, b := row(ops[0]), row(ops[1]), row(ops[2])
+				d[0], d[1], d[2], d[3] = a[0]&b[0], a[1]&b[1], a[2]&b[2], a[3]&b[3]
+				d[4], d[5], d[6], d[7] = a[4]&b[4], a[5]&b[5], a[6]&b[6], a[7]&b[7]
 			}
-		case copXor:
-			b := (*[16]uint64)(gf[int(op.B)*16:])
-			for j := range dst {
-				dst[j] = a[j] ^ b[j]
+		case KOr:
+			for ; len(ops) >= 3; ops = ops[3:] {
+				d, a, b := row(ops[0]), row(ops[1]), row(ops[2])
+				d[0], d[1], d[2], d[3] = a[0]|b[0], a[1]|b[1], a[2]|b[2], a[3]|b[3]
+				d[4], d[5], d[6], d[7] = a[4]|b[4], a[5]|b[5], a[6]|b[6], a[7]|b[7]
 			}
-		case copNand:
-			b := (*[16]uint64)(gf[int(op.B)*16:])
-			for j := range dst {
-				dst[j] = ^(a[j] & b[j])
+		case KXor:
+			for ; len(ops) >= 3; ops = ops[3:] {
+				d, a, b := row(ops[0]), row(ops[1]), row(ops[2])
+				d[0], d[1], d[2], d[3] = a[0]^b[0], a[1]^b[1], a[2]^b[2], a[3]^b[3]
+				d[4], d[5], d[6], d[7] = a[4]^b[4], a[5]^b[5], a[6]^b[6], a[7]^b[7]
 			}
-		case copNor:
-			b := (*[16]uint64)(gf[int(op.B)*16:])
-			for j := range dst {
-				dst[j] = ^(a[j] | b[j])
+		case KNand:
+			for ; len(ops) >= 3; ops = ops[3:] {
+				d, a, b := row(ops[0]), row(ops[1]), row(ops[2])
+				d[0], d[1], d[2], d[3] = ^(a[0] & b[0]), ^(a[1] & b[1]), ^(a[2] & b[2]), ^(a[3] & b[3])
+				d[4], d[5], d[6], d[7] = ^(a[4] & b[4]), ^(a[5] & b[5]), ^(a[6] & b[6]), ^(a[7] & b[7])
 			}
-		case copXnor:
-			b := (*[16]uint64)(gf[int(op.B)*16:])
-			for j := range dst {
-				dst[j] = ^(a[j] ^ b[j])
+		case KNor:
+			for ; len(ops) >= 3; ops = ops[3:] {
+				d, a, b := row(ops[0]), row(ops[1]), row(ops[2])
+				d[0], d[1], d[2], d[3] = ^(a[0] | b[0]), ^(a[1] | b[1]), ^(a[2] | b[2]), ^(a[3] | b[3])
+				d[4], d[5], d[6], d[7] = ^(a[4] | b[4]), ^(a[5] | b[5]), ^(a[6] | b[6]), ^(a[7] | b[7])
 			}
-		case copMux:
-			b := (*[16]uint64)(gf[int(op.B)*16:])
-			c := (*[16]uint64)(gf[int(op.C)*16:])
-			for j := range dst {
-				dst[j] = (a[j] & c[j]) | (^a[j] & b[j])
+		case KXnor:
+			for ; len(ops) >= 3; ops = ops[3:] {
+				d, a, b := row(ops[0]), row(ops[1]), row(ops[2])
+				d[0], d[1], d[2], d[3] = ^(a[0] ^ b[0]), ^(a[1] ^ b[1]), ^(a[2] ^ b[2]), ^(a[3] ^ b[3])
+				d[4], d[5], d[6], d[7] = ^(a[4] ^ b[4]), ^(a[5] ^ b[5]), ^(a[6] ^ b[6]), ^(a[7] ^ b[7])
+			}
+		case KMux: // In[0]=sel, In[1]=lo, In[2]=hi
+			for ; len(ops) >= 4; ops = ops[4:] {
+				d, s, lo, hi := row(ops[0]), row(ops[1]), row(ops[2]), row(ops[3])
+				for j := range d {
+					d[j] = (s[j] & hi[j]) | (^s[j] & lo[j])
+				}
 			}
 		}
 	}
